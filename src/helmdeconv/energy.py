@@ -38,16 +38,17 @@ IDEMPOTENCY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """A realized noise field with its known norm bound and relative level."""
+    """A realized noise field, its norm bound eps0 in ``quadrature``, and relative level."""
 
     epsilon: Field
     eps0: float
     level: float
+    quadrature: str = "trapezoid"
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError(f"noise level must be nonnegative, got {self.level}")
-        if l2_norm(self.epsilon) > self.eps0 * (1 + 1e-12) + 1e-300:
+        if l2_norm(self.epsilon, self.quadrature) > self.eps0 * (1 + 1e-12) + 1e-300:
             raise ValueError("realized noise norm exceeds the stated bound eps0")
 
 
@@ -146,8 +147,8 @@ def run_mitlar_with_stopping(filt: HelmholtzFilter, u_bar: Field, alpha: float,
     trace runs to ``j_max`` and the stop index is annotated.  ``epsilon``,
     when given, is the realized noise used for the noisy-energy trace
     (otherwise energies are evaluated against the data alone).  A solver
-    failure mid-run raises SolverError with the partial run attached as
-    ``partial_run``.
+    failure raises SolverError with the partial run attached as
+    ``partial_run`` (None when the first solve fails, e.g. on NaN data).
     """
     if mode not in ("halt", "record_only"):
         raise ValueError(f"mode must be 'halt' or 'record_only', got {mode!r}")
@@ -218,7 +219,7 @@ def run_mitlar_with_stopping(filt: HelmholtzFilter, u_bar: Field, alpha: float,
         err.partial_run = build(
             stop_index if stop_index is not None else len(iterates) - 1,
             reason if reason is not None else REASON_MAX_ITERATIONS,
-        )
+        ) if iterates else None
         raise
 
     if stop_index is None:

@@ -88,18 +88,19 @@ def gen_noise(seed: int, level: float, reference: Field,
               quadrature: str = "trapezoid") -> NoiseModel:
     """Standard-normal noise rescaled so ||eps|| = level * ||reference||.
 
-    Deterministic in ``seed``; ``eps0`` is set to the achieved norm.
+    Deterministic in ``seed``; ``eps0`` is set to the achieved norm in the
+    given quadrature rule, which the returned model carries.
     """
     if level < 0:
         raise ValueError(f"noise level must be nonnegative, got {level}")
     grid = reference.grid
     if level == 0.0:
-        return NoiseModel(zero_field(grid), 0.0, 0.0)
+        return NoiseModel(zero_field(grid), 0.0, 0.0, quadrature)
     rng = np.random.default_rng(seed)
     raw = Field(grid, rng.standard_normal(grid.interior_shape))
     target = level * l2_norm(reference, quadrature)
     epsilon = raw * (target / l2_norm(raw, quadrature))
-    return NoiseModel(epsilon, l2_norm(epsilon, quadrature), level)
+    return NoiseModel(epsilon, l2_norm(epsilon, quadrature), level, quadrature)
 
 
 def relative_error(u_true: Field, u_approx: Field,

@@ -1,5 +1,10 @@
 """CLI behavior: flags, config files, exit codes, output files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from helmdeconv import cli_main
@@ -81,6 +86,15 @@ def test_stopping_subcommand_runs(tmp_path, capsys):
     assert "stop index" in capsys.readouterr().out
 
 
+def test_stopping_simpson_quadrature_runs(tmp_path):
+    # the noise bound used to be set in the Simpson norm but checked in the trapezoid one
+    out = tmp_path / "results"
+    code = cli_main(["stopping", "--quadrature", "simpson", "--seed", "1",
+                     "--out", str(out)])
+    assert code == 0
+    assert (out / "stopping_run.csv").exists()
+
+
 def test_compare_subcommand_writes_three_csvs(tmp_path):
     out = tmp_path / "results"
     cfg = tmp_path / "run.cfg"
@@ -160,3 +174,17 @@ def test_byte_identical_reruns(tmp_path):
     first = run_all(tmp_path / "one")
     second = run_all(tmp_path / "two")
     assert first == second
+
+
+def test_python_m_helmdeconv_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "results"
+    proc = subprocess.run(
+        [sys.executable, "-m", "helmdeconv", "filter", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "filter_summary.txt").exists()
+    assert "roundtrip residual" in proc.stdout

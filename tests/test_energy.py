@@ -193,6 +193,18 @@ def test_stopping_solver_failure_attaches_partial_run(monkeypatch):
     assert len(partial.trace.iterates) == 2  # start plus one accepted update
 
 
+@pytest.mark.parametrize("mode", ["halt", "record_only"])
+def test_stopping_nan_data_raises_instead_of_stopping(mode):
+    # NaN update norms used to fail the rule and read as a certified stop
+    filt, data, epsilon, eps0 = _noisy_setup()
+    values = data.values.copy()
+    values[20] = np.nan
+    with pytest.raises(SolverError) as exc:
+        run_mitlar_with_stopping(filt, Field(filt.grid, values), 0.25, eps0, 8,
+                                 mode=mode, epsilon=epsilon)
+    assert exc.value.partial_run is None
+
+
 def test_stopped_run_csv_layout(tmp_path):
     filt, data, epsilon, eps0 = _noisy_setup()
     run = run_mitlar_with_stopping(

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dst
 
 from helmdeconv import (
     Field,
@@ -18,6 +21,7 @@ from helmdeconv import (
     solve_shifted,
     zero_field,
 )
+from helmdeconv.operators import _dst
 
 
 def eigenmode(grid, k):
@@ -140,14 +144,54 @@ def test_solve_shifted_matches_dense_solve(dim, n):
     assert err <= 1e-10
 
 
-def test_solve_shifted_reports_nonconvergence():
-    grid = make_grid(2, (0.0, 1.0), 20)
-    rhs = random_field(grid, 1)
-    with pytest.raises(SolverError) as exc:
-        solve_shifted(grid, 10.0, rhs, max_iter=2)
-    assert exc.value.residual is not None
-    assert exc.value.residual > 0
-    assert exc.value.iterations == 2
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (3, 16), (5, 127)])
+def test_dst_matches_scipy_and_is_its_own_inverse(shape):
+    values = np.random.default_rng(len(shape) * 1000 + shape[-1]).standard_normal(shape)
+    out = _dst(values)
+    assert np.max(np.abs(out - dst(values, type=1, norm="ortho"))) <= 1e-13
+    assert np.max(np.abs(_dst(out) - values)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_shifted_rejects_non_finite_input(dim):
+    grid = make_grid(dim, (0.0, 1.0), 20)
+    values = random_field(grid, 1).values.copy()
+    values.flat[7] = np.nan
+    with pytest.raises(SolverError):
+        solve_shifted(grid, 0.05, Field(grid, values))
+    values.flat[7] = np.inf
+    with pytest.raises(SolverError):
+        solve_shifted(grid, 0.05, Field(grid, values))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 10.0),
+    n=st.tuples(st.integers(2, 32), st.integers(2, 32)),
+    a=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    length=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+)
+def test_solve_shifted_2d_matches_dense_on_anisotropic_grids(seed, theta, n, a, length):
+    # unequal intervals and bounds per axis; the square case is nx == ny
+    grid = make_grid(2, [(a[0], a[0] + length[0]), (a[1], a[1] + length[1])], n)
+    rhs = random_field(grid, seed)
+    lap, _, _ = dense_matrices(grid, 0.1)
+    system = np.eye(grid.interior_count) + theta * lap
+    expected = np.linalg.solve(system, rhs.values.ravel())
+    out = solve_shifted(grid, theta, rhs)
+    err = np.linalg.norm(out.values.ravel() - expected) / np.linalg.norm(expected)
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [1.736e-5, 1.0])
+def test_solve_shifted_2d_residual_at_n480(theta):
+    # 479^2 nodes, far past the dense cap: check the stencil residual instead
+    grid = make_grid(2, (0.0, 1.0), 480)
+    rhs = random_field(grid, 480)
+    out = solve_shifted(grid, theta, rhs)
+    residual = out + theta * neg_laplacian(out) - rhs
+    assert l2_norm(residual) <= 1e-12 * l2_norm(rhs)
 
 
 def test_dense_matrices_smallest_grid():

@@ -99,6 +99,17 @@ def test_gen_noise_respects_quadrature():
     assert l2_norm(noise.epsilon, "simpson") == pytest.approx(target, rel=1e-12)
 
 
+def test_gen_noise_simpson_bound_holds_over_seeds():
+    # eps0 is a Simpson norm here, so the model must check it in that norm
+    grid = make_grid(1, (0.0, 2.0), 1000)
+    reference = gen_signal(signal_preset("stopping1d"), grid)
+    target = 0.01 * l2_norm(reference, "simpson")
+    for seed in range(200):
+        noise = gen_noise(seed, 0.01, reference, quadrature="simpson")
+        assert noise.quadrature == "simpson"
+        assert noise.eps0 == pytest.approx(target, rel=1e-12)
+
+
 def test_gen_noise_rejects_negative_level():
     grid = make_grid(1, (0.0, 1.0), 8)
     with pytest.raises(ValueError):

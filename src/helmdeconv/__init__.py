@@ -68,7 +68,6 @@ from .experiments import (
     run_rates,
     run_stopping,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
@@ -89,3 +88,11 @@ __all__ = [
     "run_stopping",
     "cli_main",
 ]
+
+
+def __getattr__(name):
+    # resolved on first use: ``python -m helmdeconv.cli`` must not find cli imported
+    if name == "cli_main":
+        from .cli import cli_main
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -201,11 +201,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
                     errs[("mitlar", j)] = relative_error(u, trace.iterates[j], quad)
         except SolverError as err:
             where = method.value if method is not None else "filter"
-            raise SolverError(
-                f"comparison solve failed at method={where}, alpha={alpha:.6e}, "
-                f"J<={max_updates}: {err}",
-                residual=err.residual, iterations=err.iterations,
-            ) from err
+            raise SolverError(f"comparison solve failed at method={where}, alpha={alpha:.6e}, "
+                              f"J<={max_updates}: {err}", residual=err.residual) from err
         per_alpha[alpha] = errs
 
     for j in config.j_list:
@@ -309,10 +306,8 @@ def run_rates(config: ExperimentConfig) -> RatesResult:
                 )
         except SolverError as err:
             where = "filter" if case is None else f"{case[0].value} J={case[1]}"
-            raise SolverError(
-                f"rates solve failed at n={n}, {where}: {err}",
-                residual=err.residual, iterations=err.iterations,
-            ) from err
+            raise SolverError(f"rates solve failed at n={n}, {where}: {err}",
+                              residual=err.residual) from err
 
     tables: dict[tuple[str, int], tuple] = {}
     for key, pairs in errors.items():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Callable
 
@@ -132,7 +133,7 @@ class Field:
 
 
 def _check_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
+    if f.grid is not g.grid and f.grid != g.grid:
         raise ValueError("fields live on different grids")
 
 
@@ -157,44 +158,42 @@ def sample_function(grid: Grid, f: Callable) -> Field:
     return Field(grid, values)
 
 
+@lru_cache(maxsize=64)
 def _axis_weights(n: int, h: float, quadrature: str) -> np.ndarray:
-    """Quadrature weights at the n-1 interior nodes of one axis.
+    """Read-only quadrature weights at the n-1 interior nodes of one axis.
 
     Boundary weights are dropped because the extended field vanishes there.
     """
     if quadrature == "trapezoid":
-        return np.full(n - 1, h)
-    if quadrature == "simpson":
+        w = np.full(n - 1, h)
+    elif quadrature == "simpson":
         if n % 2 != 0:
             raise ValueError(f"Simpson quadrature needs an even interval count, got {n}")
         w = np.empty(n - 1)
         w[0::2] = 4.0 * h / 3.0  # odd interior nodes
         w[1::2] = 2.0 * h / 3.0
-        return w
-    raise ValueError(f"unknown quadrature {quadrature!r}")
+    else:
+        raise ValueError(f"unknown quadrature {quadrature!r}")
+    w.setflags(write=False)
+    return w
 
 
 def quadrature_weights(grid: Grid, quadrature: str = "trapezoid") -> np.ndarray:
-    """Tensor-product quadrature weights over the interior nodes."""
-    per_axis = [
-        _axis_weights(n, h, quadrature) for n, h in zip(grid.n, grid.h)
-    ]
-    if grid.dim == 1:
-        return per_axis[0]
-    return np.outer(per_axis[0], per_axis[1])
+    """Tensor-product quadrature weights over the interior nodes (read-only in 1D)."""
+    return reduce(np.multiply.outer, map(_axis_weights, grid.n, grid.h, [quadrature] * grid.dim))
 
 
 def inner_product(f: Field, g: Field, quadrature: str = "trapezoid") -> float:
     """Quadrature-weighted L2 inner product (symmetric bilinear)."""
     _check_same_grid(f, g)
     w = quadrature_weights(f.grid, quadrature)
-    return float(np.sum(w * f.values * g.values))
+    return float((w * f.values * g.values).sum())
 
 
 def l2_norm(f: Field, quadrature: str = "trapezoid") -> float:
     """Quadrature-weighted L2 norm of the zero-extended field."""
     w = quadrature_weights(f.grid, quadrature)
-    return float(np.sqrt(np.sum(w * f.values * f.values)))
+    return float(np.sqrt((w * f.values * f.values).sum()))
 
 
 def h1_seminorm(f: Field) -> float:

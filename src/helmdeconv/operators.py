@@ -15,20 +15,21 @@ zero Dirichlet ghost values.  The filter pair is
 system.  The downstream deconvolution schemes multiply their equations
 through by ``A`` so that every step reduces to one shifted solve.
 
-Both solves are direct: banded elimination in 1D; in 2D the orthonormal
-type-I discrete sine transform (DST-I) diagonalises ``-lap_h``, with axis
-mode ``k`` of ``n`` intervals of size ``h`` at eigenvalue
-``(4/h**2) sin**2(k*pi/(2n))`` summed over the axes (the fast Poisson solver
-of Buzbee, Golub & Nielson, 1970).  The DST-I is built on ``numpy.fft``:
-importing ``scipy.fft`` pulls in ``scipy.special`` and adds a fifth to start-up.
+The solve is direct in every dimension: the orthonormal type-I discrete sine
+transform (DST-I) along each axis diagonalises ``-lap_h``, with axis mode ``k``
+of ``n`` intervals of size ``h`` at eigenvalue ``(4/h**2) sin**2(k*pi/(2n))``
+summed over the axes (the fast Poisson solver of Buzbee, Golub & Nielson,
+1970).  The DST-I is built on ``numpy.fft``: importing ``scipy.linalg`` or
+``scipy.fft`` would more than double the import time of the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .fields import Field, Grid
 
@@ -36,11 +37,9 @@ from .fields import Field, Grid
 class SolverError(RuntimeError):
     """Linear solve produced non-finite values (e.g. from NaN or inf input)."""
 
-    def __init__(self, message: str, residual: float | None = None,
-                 iterations: int | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 def _neg_lap_array(values: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
@@ -59,16 +58,6 @@ def neg_laplacian(field: Field) -> Field:
     return Field(field.grid, _neg_lap_array(field.values, field.grid.h))
 
 
-def _solve_tridiagonal(theta: float, h: float, rhs: np.ndarray) -> np.ndarray:
-    m = rhs.shape[0]
-    off = -theta / h**2
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off
-    ab[1, :] = 1.0 + 2.0 * theta / h**2
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
-
-
 def _dst(values: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last axis; it is its own inverse.
 
@@ -79,38 +68,46 @@ def _dst(values: np.ndarray) -> np.ndarray:
     ext = np.zeros(values.shape[:-1] + (2 * (n + 1),))
     ext[..., 1:n + 1] = values
     ext[..., n + 2:] = -values[..., ::-1]
-    return np.fft.rfft(ext)[..., 1:n + 1].imag * (-1.0 / np.sqrt(2 * (n + 1)))
+    return np.fft.rfft(ext)[..., 1:n + 1].imag * (-1.0 / math.sqrt(2 * (n + 1)))
+
+
+@lru_cache(maxsize=64)
+def _eigenvalues(n: int, h: float) -> np.ndarray:
+    """Read-only eigenvalues of -lap_h on one axis of n intervals of size h."""
+    lam = 4.0 / h**2 * np.sin(np.arange(1, n) * np.pi / (2 * n)) ** 2
+    lam.setflags(write=False)
+    return lam
+
+
+def _dst_axes(values: np.ndarray) -> np.ndarray:
+    """DST-I along each axis of a 1D or 2D array, last first; the axes come back reversed."""
+    for _ in range(values.ndim):
+        values = _dst(values).T
+    return values.T
 
 
 def _solve_dst(theta: float, grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """DST-I diagonalisation of I + theta*(-lap_h) on a 2D grid."""
-    (nx, ny), (hx, hy) = grid.n, grid.h
-    lam_x = 4.0 / hx**2 * np.sin(np.arange(1, nx) * np.pi / (2 * nx)) ** 2
-    lam_y = 4.0 / hy**2 * np.sin(np.arange(1, ny) * np.pi / (2 * ny)) ** 2
+    """DST-I diagonalisation of I + theta*(-lap_h): transform, divide, transform back."""
+    lam = reduce(np.add.outer, map(_eigenvalues, grid.n[::-1], grid.h[::-1]))
     with np.errstate(invalid="ignore"):  # non-finite input: solve_shifted raises
-        modes = _dst(_dst(rhs).T)  # transposed: axis 0 is y
-        modes /= 1.0 + theta * (lam_y[:, None] + lam_x[None, :])
-        return _dst(_dst(modes).T)
+        modes = _dst_axes(rhs)
+        modes /= 1.0 + theta * lam
+        return _dst_axes(modes)
 
 
 def solve_shifted(grid: Grid, theta: float, rhs: Field) -> Field:
     """Solve (I + theta*(-lap_h)) x = rhs on the interior nodes.
 
     theta = delta**2 applies the filter; theta = 0 is the identity.  The
-    solve is direct (banded elimination in 1D, DST-I in 2D) with no
-    tolerance.  Raises SolverError if the solution is not finite, which is
-    how NaN or inf in the right-hand side surfaces.
+    solve is direct (DST-I along each axis) with no tolerance.  Raises
+    SolverError if the solution is not finite, which is how NaN or inf in
+    the right-hand side surfaces.
     """
     if theta < 0:
         raise ValueError(f"theta must be nonnegative, got {theta}")
-    if rhs.grid != grid:
+    if rhs.grid is not grid and rhs.grid != grid:
         raise ValueError("rhs does not live on the given grid")
-    if theta == 0.0:
-        x = rhs.values
-    elif grid.dim == 1:
-        x = _solve_tridiagonal(theta, grid.h[0], rhs.values)
-    else:
-        x = _solve_dst(theta, grid, rhs.values)
+    x = rhs.values if theta == 0.0 else _solve_dst(theta, grid, rhs.values)
     if not np.isfinite(x).all():
         raise SolverError(f"shifted solve (theta={theta:.6e}) produced non-finite values")
     return Field(grid, x)

@@ -176,15 +176,41 @@ def test_byte_identical_reruns(tmp_path):
     assert first == second
 
 
-def test_python_m_helmdeconv_runs_the_cli(tmp_path):
+def _run_python(*args):
+    """Run a fresh interpreter that imports helmdeconv from this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_python_m_helmdeconv_runs_the_cli(tmp_path):
     out = tmp_path / "results"
-    proc = subprocess.run(
-        [sys.executable, "-m", "helmdeconv", "filter", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_python("-m", "helmdeconv", "filter", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "filter_summary.txt").exists()
     assert "roundtrip residual" in proc.stdout
+
+
+def test_python_m_helmdeconv_cli_runs_without_runtime_warning(tmp_path):
+    out = tmp_path / "results"
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "helmdeconv.cli",
+                       "filter", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "filter_summary.txt").exists()
+
+
+def test_import_loads_no_scipy():
+    proc = _run_python("-c", "import sys, helmdeconv; "
+                             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_main_resolves_lazily():
+    import helmdeconv
+    from helmdeconv import cli
+
+    assert helmdeconv.cli_main is cli.cli_main is cli_main
+    assert not hasattr(helmdeconv, "no_such_name")

@@ -127,6 +127,15 @@ def test_inner_product_definition_and_symmetry():
         inner_product(f, zero_field(make_grid(2, (0.0, 1.0), 10)))
 
 
+def test_axis_weights_are_cached_and_read_only():
+    grid = make_grid(1, (0.0, 1.0), 8)
+    for quad in ("trapezoid", "simpson"):
+        w = quadrature_weights(grid, quad)
+        assert quadrature_weights(grid, quad) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
 def test_trapezoid_weights_are_uniform():
     grid = make_grid(2, ((0.0, 1.0), (0.0, 2.0)), (5, 4))
     w = quadrature_weights(grid)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dst
 
@@ -21,7 +21,7 @@ from helmdeconv import (
     solve_shifted,
     zero_field,
 )
-from helmdeconv.operators import _dst
+from helmdeconv.operators import _dst, _eigenvalues
 
 
 def eigenmode(grid, k):
@@ -162,6 +162,47 @@ def test_solve_shifted_rejects_non_finite_input(dim):
     values.flat[7] = np.inf
     with pytest.raises(SolverError):
         solve_shifted(grid, 0.05, Field(grid, values))
+
+
+@pytest.mark.parametrize("n", [2, 1000])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_shifted_1d_rejects_non_finite_at_either_end(n, bad):
+    # a single interior node, and the first and last of many
+    grid = make_grid(1, (0.0, 1.0), n)
+    filt = HelmholtzFilter(grid, 0.05)
+    for index in (0, -1):
+        values = random_field(grid, n).values.copy()
+        values[index] = bad
+        with pytest.raises(SolverError):
+            apply_filter(filt, Field(grid, values))
+
+
+def test_eigenvalues_are_cached_and_read_only():
+    lam = _eigenvalues(64, 1.0 / 64)
+    assert _eigenvalues(64, 1.0 / 64) is lam
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 10.0),
+    n=st.integers(2, 1025),
+    a=st.floats(-2.0, 2.0),
+    length=st.floats(1.0, 3.0),
+)
+@example(seed=0, theta=10.0, n=2, a=0.0, length=1.0)
+def test_solve_shifted_1d_matches_dense(seed, theta, n, a, length):
+    # n=2 is a single interior node.  The dense LU solve, not the DST solve,
+    # sets the tolerance: at theta=10, h=1/1025 its own error reaches ~6e-13,
+    # and the inverse at DENSE_CAP nodes would cost seconds per example.
+    grid = make_grid(1, (a, a + length), n)
+    rhs = random_field(grid, seed)
+    lap, _, _ = dense_matrices(grid, 0.1)
+    expected = np.linalg.solve(np.eye(grid.interior_count) + theta * lap, rhs.values)
+    out = solve_shifted(grid, theta, rhs)
+    assert np.linalg.norm(out.values - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @settings(max_examples=50, deadline=None)

@@ -31,7 +31,7 @@ from .operators import (
 from .regularizers import (
     IterateTrace,
     Method,
-    RegConfig,
+    deconvolve,
     deconvolve_itl,
     deconvolve_mitlar,
     deconvolve_mtl,
@@ -46,7 +46,6 @@ from .energy import (
     descent_gap,
     energy_noise_free,
     energy_noisy,
-    projected_update,
     run_mitlar_with_stopping,
     stopping_should_continue,
 )
@@ -76,11 +75,11 @@ __all__ = [
     "quadrature_weights", "sample_function", "write_field_csv", "zero_field",
     "HelmholtzFilter", "SolverError", "apply_A", "apply_filter",
     "dense_matrices", "neg_laplacian", "solve_shifted",
-    "IterateTrace", "Method", "RegConfig", "deconvolve_itl",
+    "IterateTrace", "Method", "deconvolve", "deconvolve_itl",
     "deconvolve_mitlar", "deconvolve_mtl", "deconvolve_tl",
     "dense_reg_operators", "mitlar_noise_free_bound", "mitlar_noisy_bound",
     "NoiseModel", "StoppedRun", "descent_gap", "energy_noise_free",
-    "energy_noisy", "projected_update", "run_mitlar_with_stopping",
+    "energy_noisy", "run_mitlar_with_stopping",
     "stopping_should_continue",
     "SignalSpec", "gen_noise", "gen_signal", "relative_error", "signal_preset",
     "ExperimentConfig", "ScaleRule", "alpha_sweep", "convergence_rates",

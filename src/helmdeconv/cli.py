@@ -112,7 +112,9 @@ def _parse_cases(text: str) -> tuple[tuple[Method, int], ...]:
             method = Method(name)
         except ValueError:
             raise ConfigError(f"unknown method {name!r} in cases") from None
-        j = int(j_text) if j_text else (0 if method in (Method.TL, Method.MTL) else 1)
+        j = int(j_text) if j_text else (1 if method.iterated else 0)
+        if j and not method.iterated:
+            raise ConfigError(f"{name} takes no updates, got {chunk!r} in cases")
         cases.append((method, j))
     if not cases:
         raise ConfigError("empty cases list")

@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable
 
 from .fields import Field, inner_product, l2_norm
-from .operators import HelmholtzFilter, SolverError, apply_A, apply_filter, solve_shifted
-from .regularizers import DESCENT_ALPHA_LIMIT, IterateTrace
+from .operators import HelmholtzFilter, SolverError, apply_filter
+from .regularizers import DESCENT_ALPHA_LIMIT, IterateTrace, _refine
 
 REASON_CRITERION = "criterion"
 REASON_MAX_ITERATIONS = "max_iterations"
 REASON_ZERO_UPDATE = "zero_update"
-
-IDEMPOTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -170,8 +168,6 @@ def run_mitlar_with_stopping(filt: HelmholtzFilter, u_bar: Field, alpha: float,
             return energy_noise_free(filt, v, u_bar, quadrature)
         return energy_noisy(filt, v, u_bar, epsilon, quadrature)
 
-    theta = alpha * filt.delta**2
-    a_ubar = apply_A(filt, u_bar)
     iterates: list[Field] = []
     accepted_norms: list[float] = []
     energies: list[float] = []
@@ -195,24 +191,20 @@ def run_mitlar_with_stopping(filt: HelmholtzFilter, u_bar: Field, alpha: float,
         )
 
     try:
-        u = solve_shifted(filt.grid, theta, a_ubar)
-        iterates.append(u)
-        if compute_energies:
-            energies.append(measure(u))
-        for j in range(1, j_max + 1):
-            step = solve_shifted(filt.grid, theta, a_ubar - u)
-            norm = l2_norm(step, quadrature)
-            flag = stopping_should_continue(alpha, eps0, norm)
-            candidate_norms.append(norm)
-            flags.append(flag)
-            if not flag and stop_index is None:
-                stop_index = j - 1
-                reason = REASON_ZERO_UPDATE if norm == 0.0 else REASON_CRITERION
-            if not flag and mode == "halt":
-                break
-            u = u + step
+        refine = islice(_refine(filt, u_bar, alpha, modified=True), j_max + 1)
+        for j, (u, step) in enumerate(refine):
+            if step is not None:
+                norm = l2_norm(step, quadrature)
+                flag = stopping_should_continue(alpha, eps0, norm)
+                candidate_norms.append(norm)
+                flags.append(flag)
+                if not flag and stop_index is None:
+                    stop_index = j - 1
+                    reason = REASON_ZERO_UPDATE if norm == 0.0 else REASON_CRITERION
+                if not flag and mode == "halt":
+                    break
+                accepted_norms.append(norm)
             iterates.append(u)
-            accepted_norms.append(norm)
             if compute_energies:
                 energies.append(measure(u))
     except SolverError as err:
@@ -226,19 +218,3 @@ def run_mitlar_with_stopping(filt: HelmholtzFilter, u_bar: Field, alpha: float,
         stop_index = j_max
         reason = REASON_MAX_ITERATIONS
     return build(stop_index, reason)
-
-
-def projected_update(u_prev: Field, u_curr: Field,
-                     proj: Callable[[Field], Field]) -> Field:
-    """Replace an update by its projection: u_prev + P(u_curr - u_prev).
-
-    ``proj`` must be idempotent; this is verified on the given update to
-    1e-10 and violations are rejected.
-    """
-    d = u_curr - u_prev
-    pd = proj(d)
-    ppd = proj(pd)
-    scale = max(1.0, l2_norm(pd))
-    if l2_norm(ppd - pd) > IDEMPOTENCY_TOL * scale:
-        raise ValueError("projection is not idempotent on this update")
-    return u_prev + pd

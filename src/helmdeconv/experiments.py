@@ -26,13 +26,7 @@ import numpy as np
 from .energy import StoppedRun, run_mitlar_with_stopping
 from .fields import Grid, l2_norm, h1_seminorm, make_grid, write_field_csv
 from .operators import HelmholtzFilter, SolverError, apply_A, apply_filter
-from .regularizers import (
-    Method,
-    deconvolve_itl,
-    deconvolve_mitlar,
-    deconvolve_mtl,
-    deconvolve_tl,
-)
+from .regularizers import Method, deconvolve
 from .signals import SignalSpec, gen_noise, gen_signal, relative_error, signal_preset
 
 
@@ -60,7 +54,6 @@ class ScaleRule:
         return self.value * (2.0 * math.pi / n) ** self.exponent
 
 
-DEFAULT_METHODS = (Method.TL, Method.ITL, Method.MTL, Method.MITLAR)
 DEFAULT_RATE_CASES = ((Method.MITLAR, 0), (Method.MITLAR, 1),
                       (Method.TL, 0), (Method.ITL, 1))
 
@@ -86,7 +79,6 @@ class ExperimentConfig:
     j_max: int = 20
     noise_level: float = 0.0
     seed: int = 0
-    methods: tuple[Method, ...] = DEFAULT_METHODS
     rate_cases: tuple[tuple[Method, int], ...] = DEFAULT_RATE_CASES
     out_dir: Path | None = None
     quadrature: str = "trapezoid"
@@ -181,37 +173,24 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     per_alpha: dict[float, dict[tuple[str, int], float]] = {}
     for alpha in config.alphas:
         errs: dict[tuple[str, int], float] = {}
-        method = None
         try:
-            if Method.TL in config.methods:
-                method = Method.TL
-                errs[("tl", 0)] = relative_error(u, deconvolve_tl(filt, u_bar, alpha), quad)
-            if Method.MTL in config.methods:
-                method = Method.MTL
-                errs[("mtl", 0)] = relative_error(u, deconvolve_mtl(filt, u_bar, alpha), quad)
-            if Method.ITL in config.methods:
-                method = Method.ITL
-                trace = deconvolve_itl(filt, u_bar, alpha, max_updates, quad)
+            # tl and mtl are u_0 of the itl and mitlar traces
+            for method, start in ((Method.ITL, Method.TL), (Method.MITLAR, Method.MTL)):
+                trace = deconvolve(filt, u_bar, method, alpha, max_updates, quad)
+                errs[(start.value, 0)] = relative_error(u, trace.iterates[0], quad)
                 for j in config.j_list:
-                    errs[("itl", j)] = relative_error(u, trace.iterates[j], quad)
-            if Method.MITLAR in config.methods:
-                method = Method.MITLAR
-                trace = deconvolve_mitlar(filt, u_bar, alpha, max_updates, quad)
-                for j in config.j_list:
-                    errs[("mitlar", j)] = relative_error(u, trace.iterates[j], quad)
+                    errs[(method.value, j)] = relative_error(u, trace.iterates[j], quad)
         except SolverError as err:
-            where = method.value if method is not None else "filter"
-            raise SolverError(f"comparison solve failed at method={where}, alpha={alpha:.6e}, "
-                              f"J<={max_updates}: {err}", residual=err.residual) from err
+            raise SolverError(f"comparison solve failed at method={method.value}, "
+                              f"alpha={alpha:.6e}, J<={max_updates}: {err}",
+                              residual=err.residual) from err
         per_alpha[alpha] = errs
 
     for j in config.j_list:
         for alpha in config.alphas:
-            errs = per_alpha[alpha]
-            for method in config.methods:
-                key = (method.value, 0 if method in (Method.TL, Method.MTL) else j)
-                if key in errs:
-                    rows.append((method.value, alpha, j, errs[key]))
+            for method in Method:
+                err = per_alpha[alpha][(method.value, j if method.iterated else 0)]
+                rows.append((method.value, alpha, j, err))
 
     files: list[Path] = []
     if config.out_dir is not None:
@@ -231,14 +210,12 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
                 errs = per_alpha[alpha]
                 others = [v for (name, jj), v in errs.items()
                           if name != "mitlar" and (jj == j or jj == 0)]
-                if ("mitlar", j) in errs and others:
-                    gaps.append(min(others) - errs[("mitlar", j)])
-            if gaps:
-                lowest = "yes" if min(gaps) >= 0 else "no"
-                summary.append(
-                    f"J={j}: mitlar lowest everywhere: {lowest} "
-                    f"(worst margin {min(gaps):.3e})"
-                )
+                gaps.append(min(others) - errs[("mitlar", j)])
+            lowest = "yes" if min(gaps) >= 0 else "no"
+            summary.append(
+                f"J={j}: mitlar lowest everywhere: {lowest} "
+                f"(worst margin {min(gaps):.3e})"
+            )
         path = Path(config.out_dir) / "compare_summary.txt"
         _write_lines(path, summary)
         files.append(path)
@@ -287,25 +264,16 @@ def run_rates(config: ExperimentConfig) -> RatesResult:
         delta = config.delta_rule.resolve(n, grid.h[0])
         alpha = config.alpha_rule.resolve(n, grid.h[0])
         filt = HelmholtzFilter(grid, delta)
-        case = None
+        where = "filter"
         try:
             u_bar = apply_filter(filt, u)
-            for case in config.rate_cases:
-                method, j = case
-                if method is Method.TL:
-                    approx = deconvolve_tl(filt, u_bar, alpha)
-                elif method is Method.MTL:
-                    approx = deconvolve_mtl(filt, u_bar, alpha)
-                elif method is Method.ITL:
-                    approx = deconvolve_itl(filt, u_bar, alpha, j, quad).final
-                else:
-                    approx = deconvolve_mitlar(filt, u_bar, alpha, j, quad).final
-                diff = u - approx
+            for method, j in config.rate_cases:
+                where = f"{method.value} J={j}"
+                diff = u - deconvolve(filt, u_bar, method, alpha, j, quad).final
                 errors[(method.value, j)].append(
                     (l2_norm(diff, quad), h1_seminorm(diff))
                 )
         except SolverError as err:
-            where = "filter" if case is None else f"{case[0].value} J={case[1]}"
             raise SolverError(f"rates solve failed at n={n}, {where}: {err}",
                               residual=err.residual) from err
 

@@ -27,8 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-QUADRATURES = ("trapezoid", "simpson")
-
 
 @dataclass(frozen=True)
 class Grid:

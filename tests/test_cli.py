@@ -148,6 +148,17 @@ def test_rates_rejects_non_doubling_refinements(tmp_path, capsys):
     assert "double" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cases", ["tl:3", "mitlar:1,mtl:2"])
+def test_rates_rejects_updates_on_single_step_schemes(tmp_path, capsys, cases):
+    out = tmp_path / "o"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"refinements = 8,16\ncases = {cases}\n")
+    code = cli_main(["rates", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert "takes no updates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_custom_signal_flag_roundtrip(tmp_path):
     out = tmp_path / "results"
     cfg = tmp_path / "run.cfg"

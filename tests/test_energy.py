@@ -1,9 +1,9 @@
-"""Energies, descent identity, stopping rule, and projected updates."""
+"""Energies, descent identity, and the stopping rule."""
 
 import numpy as np
 import pytest
 
-import helmdeconv.energy as energy_module
+import helmdeconv.regularizers as regularizers_module
 from helmdeconv import (
     Field,
     HelmholtzFilter,
@@ -18,7 +18,6 @@ from helmdeconv import (
     inner_product,
     l2_norm,
     make_grid,
-    projected_update,
     run_mitlar_with_stopping,
     sample_function,
     stopping_should_continue,
@@ -177,7 +176,7 @@ def test_stopping_mode_and_parameter_validation():
 
 def test_stopping_solver_failure_attaches_partial_run(monkeypatch):
     filt, data, _, eps0 = _noisy_setup(n=16)
-    real_solve = energy_module.solve_shifted
+    real_solve = regularizers_module.solve_shifted
     calls = {"count": 0}
 
     def flaky_solve(*args, **kwargs):
@@ -186,7 +185,7 @@ def test_stopping_solver_failure_attaches_partial_run(monkeypatch):
             raise SolverError("injected failure", residual=1.0)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(energy_module, "solve_shifted", flaky_solve)
+    monkeypatch.setattr(regularizers_module, "solve_shifted", flaky_solve)
     with pytest.raises(SolverError) as exc:
         run_mitlar_with_stopping(filt, data, 0.25, eps0, 10, compute_energies=False)
     partial = exc.value.partial_run
@@ -260,62 +259,3 @@ def test_energy_descends_along_modified_iterates(alpha):
             assert e_next < e_curr
             gap = descent_gap(filt, trace.iterates[j], trace.iterates[j + 1], alpha)
             assert e_curr - e_next == pytest.approx(gap, rel=1e-8)
-
-
-# --- projected updates ----------------------------------------------------------
-
-def test_projected_update_identity_and_zero_maps():
-    grid = make_grid(1, (0.0, 1.0), 16)
-    u_prev = random_field(grid, 60)
-    u_curr = random_field(grid, 61)
-    out = projected_update(u_prev, u_curr, lambda f: f)
-    assert out.values == pytest.approx(u_curr.values)
-    out = projected_update(u_prev, u_curr, lambda f: 0.0 * f)
-    assert out.values == pytest.approx(u_prev.values)
-
-
-def test_projected_update_rejects_non_idempotent_map():
-    grid = make_grid(1, (0.0, 1.0), 16)
-    with pytest.raises(ValueError):
-        projected_update(random_field(grid, 1), random_field(grid, 2), lambda f: 2.0 * f)
-
-
-def _sine_projector(grid, max_mode):
-    """Orthogonal projector onto the first modes of the discrete sine basis."""
-    m = grid.interior_shape[0]
-    modes = []
-    for k in range(1, max_mode + 1):
-        vec = np.sin(k * np.pi * grid.axis_nodes(0))
-        modes.append(vec / np.linalg.norm(vec))
-    basis = np.array(modes)
-
-    def proj(f):
-        coeffs = basis @ f.values
-        return Field(grid, basis.T @ coeffs)
-
-    return proj
-
-
-def test_projected_update_low_mode_projection():
-    grid = make_grid(1, (0.0, 1.0), 32)
-    proj = _sine_projector(grid, 4)
-    base = random_field(grid, 70)
-    low, _ = eigenmode(grid, 3)
-    high, _ = eigenmode(grid, 9)
-    assert projected_update(base, base + low, proj).values == pytest.approx(
-        (base + low).values, abs=1e-12
-    )
-    assert projected_update(base, base + high, proj).values == pytest.approx(
-        base.values, abs=1e-12
-    )
-
-
-def test_projected_update_kills_orthogonal_noise_component():
-    # with P eps = 0 the projected update is orthogonal to the noise
-    grid = make_grid(1, (0.0, 1.0), 32)
-    proj = _sine_projector(grid, 4)
-    epsilon, _ = eigenmode(grid, 11)  # entirely outside the projector's range
-    u_prev = random_field(grid, 80)
-    u_curr = random_field(grid, 81)
-    out = projected_update(u_prev, u_curr, proj)
-    assert abs(inner_product(epsilon, out - u_prev)) <= 1e-10

@@ -7,7 +7,6 @@ from helmdeconv import (
     Field,
     HelmholtzFilter,
     Method,
-    RegConfig,
     apply_A,
     deconvolve_itl,
     deconvolve_mitlar,
@@ -374,19 +373,7 @@ def test_dense_reg_operators_cap():
         dense_reg_operators(make_grid(1, (0.0, 1.0), 2000), 0.1, 0.5, 1)
 
 
-# --- config type ---------------------------------------------------------------
-
-def test_reg_config_validation():
-    RegConfig(Method.MITLAR, 0.3, 2)
-    with pytest.raises(ValueError):
-        RegConfig(Method.TL, 0.0)
-    with pytest.raises(ValueError):
-        RegConfig(Method.TL, 1.2)
-    with pytest.raises(ValueError):
-        RegConfig(Method.ITL, 0.3, -1)
-    with pytest.warns(UserWarning):
-        RegConfig(Method.MITLAR, 0.75, 1)
-
+# --- scheme selector ---------------------------------------------------------
 
 def test_method_values():
     assert {m.value for m in Method} == {"tl", "itl", "mtl", "mitlar"}

@@ -47,11 +47,19 @@ class ScaleRule:
             raise ValueError(f"unknown scale rule kind {self.kind!r}")
 
     def resolve(self, n: int, h: float) -> float:
-        if self.kind == "absolute":
-            return self.value
-        if self.kind == "h_multiple":
-            return self.value * h
-        return self.value * (2.0 * math.pi / n) ** self.exponent
+        """The rule's value on a mesh of n intervals of size h; it must be finite."""
+        try:
+            if self.kind == "absolute":
+                value = self.value
+            elif self.kind == "h_multiple":
+                value = self.value * h
+            else:
+                value = self.value * (2.0 * math.pi / n) ** self.exponent
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{self} is not finite at n={n}")
+        return value
 
 
 DEFAULT_RATE_CASES = ((Method.MITLAR, 0), (Method.MITLAR, 1),
@@ -86,12 +94,15 @@ class ExperimentConfig:
     mc_runs: int = 1
 
 
+MAX_SWEEP_POINTS = 10_000  # each point costs 8 shifted solves in run_comparison
+
+
 def alpha_sweep(low: float, high: float, count: int) -> tuple[float, ...]:
     """Logarithmically spaced regularization parameters, ascending."""
     if not 0 < low < high:
         raise ValueError(f"need 0 < low < high, got ({low}, {high})")
-    if count < 2:
-        raise ValueError(f"need at least 2 sweep points, got {count}")
+    if not 2 <= count <= MAX_SWEEP_POINTS:
+        raise ValueError(f"need 2 to {MAX_SWEEP_POINTS} sweep points, got {count}")
     return tuple(np.logspace(math.log10(low), math.log10(high), count))
 
 
@@ -228,6 +239,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
 
 def convergence_rates(errors: list[float]) -> list[float | None]:
     """Dyadic rates log2(e(n)/e(2n)) between consecutive refinements."""
+    if not all(0 < err < math.inf for err in errors):
+        raise ValueError(f"convergence rates need positive finite errors, got {errors}")
     rates: list[float | None] = [None]
     for prev, curr in zip(errors, errors[1:]):
         rates.append(math.log2(prev / curr))
@@ -253,6 +266,9 @@ def run_rates(config: ExperimentConfig) -> RatesResult:
             )
     if config.alpha_rule is None:
         raise ValueError("rates study needs an alpha rule")
+    repeated = [f"{m.value}:{j}" for (m, j), k in Counter(config.rate_cases).items() if k > 1]
+    if repeated:
+        raise ValueError(f"rates cases repeat {', '.join(repeated)}")
     quad = config.quadrature
 
     errors: dict[tuple[str, int], list[tuple[float, float]]] = {
@@ -399,7 +415,7 @@ def run_filter_check(config: ExperimentConfig) -> FilterCheckResult:
     filt = HelmholtzFilter(grid, delta)
     u_bar = apply_filter(filt, u)
     roundtrip = apply_A(filt, u_bar)
-    residual = l2_norm(roundtrip - u, config.quadrature) / l2_norm(u, config.quadrature)
+    residual = relative_error(u, roundtrip, config.quadrature)
     files: list[Path] = []
     if config.out_dir is not None:
         out = Path(config.out_dir)

@@ -123,6 +123,8 @@ class HelmholtzFilter:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"filter radius must be positive, got {self.delta}")
+        if not math.isfinite(self.delta * self.delta):
+            raise ValueError(f"filter radius {self.delta} has a non-finite square")
 
 
 def apply_A(filt: HelmholtzFilter, field: Field) -> Field:

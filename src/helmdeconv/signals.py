@@ -54,7 +54,7 @@ def signal_preset(name: str) -> SignalSpec:
 def _check_boundary_compatible(freq: float, a: float, b: float) -> None:
     for endpoint in (a, b):
         value = freq * endpoint
-        if abs(value - round(value)) > BOUNDARY_TOL:
+        if not np.isfinite(value) or abs(value - round(value)) > BOUNDARY_TOL:
             raise ValueError(
                 f"sine frequency {freq} does not vanish at boundary point "
                 f"{endpoint}: {freq}*{endpoint} is not an integer"
@@ -99,8 +99,12 @@ def gen_noise(seed: int, level: float, reference: Field,
     rng = np.random.default_rng(seed)
     raw = Field(grid, rng.standard_normal(grid.interior_shape))
     target = level * l2_norm(reference, quadrature)
-    epsilon = raw * (target / l2_norm(raw, quadrature))
-    return NoiseModel(epsilon, l2_norm(epsilon, quadrature), level, quadrature)
+    with np.errstate(over="ignore"):  # an overflowing level is rejected below
+        epsilon = raw * (target / l2_norm(raw, quadrature))
+        eps0 = l2_norm(epsilon, quadrature)
+    if not np.isfinite(eps0):
+        raise ValueError(f"noise level {level} gives a non-finite noise norm")
+    return NoiseModel(epsilon, eps0, level, quadrature)
 
 
 def relative_error(u_true: Field, u_approx: Field,

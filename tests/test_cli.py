@@ -1,11 +1,15 @@
 """CLI behavior: flags, config files, exit codes, output files."""
 
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmdeconv import cli_main
 from helmdeconv.cli import ConfigError, parse_config_file
@@ -157,6 +161,152 @@ def test_rates_rejects_updates_on_single_step_schemes(tmp_path, capsys, cases):
     assert code == 1
     assert "takes no updates" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rates_rejects_a_repeated_case(tmp_path, capsys):
+    # both copies of a case used to share one error list; --j 0 repeats mitlar:0
+    out = tmp_path / "o"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("refinements = 8,16\ncases = mitlar:1,tl,mitlar:1\n")
+    assert cli_main(["rates", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "repeat mitlar:1" in capsys.readouterr().err
+    assert cli_main(["rates", "--j", "0", "--out", str(out)]) == 1
+    assert "repeat mitlar:0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+UNREAD_FLAGS = [("compare", "--alpha"), ("compare", "--level"), ("rates", "--n"),
+                ("rates", "--alpha"), ("rates", "--level"), ("filter", "--alpha"),
+                ("filter", "--level"), ("filter", "--j")]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_subcommand_rejects_a_flag_it_never_reads(tmp_path, capsys, command, flag):
+    # each of these used to exit 0 with output byte-identical to the defaults
+    out = tmp_path / "o"
+    assert cli_main([command, flag, "1", "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = 1\n")
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# one value strategy per config key, with small sizes only, so that no example
+# allocates much or runs long
+FLOATS = st.one_of(st.floats().map(repr), st.sampled_from(["1e308", "-1e300", "0", "x", ""]))
+SIGNAL_TERM = st.lists(st.one_of(FLOATS, st.integers(0, 30).map(str)), min_size=1, max_size=4)
+VALUES = {
+    "preset": st.sampled_from(["compare1d", "rates2d", "stopping1d", "bogus"]),
+    "seed": st.integers(-2, 2**70).map(str),
+    "quadrature": st.sampled_from(["trapezoid", "simpson", "midpoint"]),
+    "n": st.integers(-1, 24).map(str),
+    "j": st.integers(-1, 4).map(str),
+    "jmax": st.integers(-1, 4).map(str),
+    "mc_runs": st.integers(-1, 3).map(str),
+    "alpha_count": st.sampled_from(["-1", "1", "2", "5", "100000000000"]),
+    "j_list": st.lists(st.integers(-1, 4), max_size=3).map(lambda js: ",".join(map(str, js))),
+    "refinements": st.sampled_from(["4,8", "6,12,24", "4,9", "", "0,0", "-4,-8", "1,2"]),
+    "cases": st.sampled_from(["mitlar:0,tl", "itl:2,mtl", "tl:3", "mitlar:1,mitlar:1", "x", ""]),
+    "mode": st.sampled_from(["halt", "record_only", "stop"]),
+    "signal": st.one_of(st.sampled_from(["compare1d", "rates2d", "stopping1d"]),
+                        st.lists(SIGNAL_TERM.map(":".join), max_size=2).map(",".join)),
+    **dict.fromkeys(("level", "alpha", "delta", "delta_h_multiple", "alpha_min", "alpha_max",
+                     "delta_coeff", "delta_exp", "alpha_coeff", "alpha_exp"), FLOATS),
+}
+FLAGS = ("preset", "seed", "quadrature", "alpha", "delta", "j", "n", "level")
+
+
+def _epilog_keys(command, capsys):
+    assert cli_main([command, "--help"]) == 0
+    epilog = capsys.readouterr().out.split("config file keys:\n", 1)[1]
+    return [line.split()[0] for line in epilog.splitlines() if line.strip()]
+
+
+def test_help_epilog_lists_exactly_the_accepted_config_keys(tmp_path, capsys):
+    commands = ("compare", "rates", "stopping", "filter")
+    listed = {command: _epilog_keys(command, capsys) for command in commands}
+    every_key = {"out", *VALUES}
+    assert set().union(*listed.values()) == every_key
+    cfg = tmp_path / "run.cfg"
+    for command in commands:
+        for key in sorted(every_key):
+            # the bad seed stops every run before it starts, whether or not the key is known
+            cfg.write_text(f"{key} = @\n" + ("seed = x\n" if key != "seed" else ""))
+            assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            unknown = "unknown config keys" in capsys.readouterr().err
+            assert unknown == (key not in listed[command]), (command, key)
+    assert not (tmp_path / "o").exists()
+
+
+SMALL_RATES = "refinements = 8,16\n"
+
+
+@pytest.mark.parametrize("argv,cfg,named", [
+    (["stopping", "--level", "nan"], "", "'level'"),
+    (["stopping", "--level", "inf"], "", "'level'"),
+    (["stopping"], "signal = inf:1\n", "'signal'"),
+    (["stopping"], "signal = 1:nan\n", "'signal'"),
+    (["rates"], SMALL_RATES + "delta_coeff = inf\n", "'delta_coeff'"),
+    (["compare"], "alpha_max = inf\n", "'alpha_max'"),
+    (["filter"], "delta_h_multiple = inf\n", "'delta_h_multiple'"),
+    (["filter", "--delta", "inf"], "", "'delta'"),
+    (["filter", "--delta", "1e200"], "", "filter radius"),
+    (["compare", "--delta", "1e155"], "", "filter radius"),
+    (["rates"], SMALL_RATES + "delta_exp = -1e300\n", "exponent=-1e+300"),
+    (["rates"], SMALL_RATES + "alpha_exp = -1e300\n", "exponent=-1e+300"),
+    (["stopping", "--level", "1e308"], "", "noise level"),
+    (["compare"], "alpha_count = 100000000000\n", "'alpha_count'"),
+    (["compare"], "j_list =\n", "'j_list'"),
+    (["rates"], "refinements =\n", "'refinements'"),
+    (["rates"], SMALL_RATES + "signal =\n", "positive finite errors"),
+    (["filter"], "signal =\n", "zero true signal"),
+    (["filter"], "signal = 1:1e308\n", "sine frequency"),
+])
+def test_bad_value_exits_1_naming_the_key_or_rule(tmp_path, capsys, argv, cfg, named):
+    (tmp_path / "run.cfg").write_text(cfg)
+    code = cli_main([*argv, *(["--n", "20"] if argv[0] != "rates" else []),
+                     "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert named in capsys.readouterr().err
+
+
+def _is_non_finite(text):
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _has_non_finite_float(key, value):
+    if key == "signal":
+        return any(map(_is_non_finite, value.replace(",", ":").split(":")))
+    return VALUES[key] is FLOATS and _is_non_finite(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["compare", "rates", "stopping", "filter"]),
+       st.dictionaries(st.sampled_from(sorted(VALUES)), st.none(), max_size=4),
+       st.dictionaries(st.sampled_from(FLAGS), st.none(), max_size=3), st.data())
+def test_cli_contract(command, file_keys, flag_keys, data):
+    """Any argv and config file exits 0, 1 or 2; a non-finite float always exits 1."""
+    entries = {key: data.draw(VALUES[key], label=key) for key in file_keys}
+    flags = {key: data.draw(VALUES[key], label="--" + key) for key in flag_keys}
+    # keep every run small: few nodes, two or three meshes
+    if command == "rates":
+        entries.setdefault("refinements", "4,8")
+    else:
+        flags.setdefault("n", "12")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+        argv = [command, "--config", str(cfg), "--out", str(Path(tmp) / "o"),
+                *(f"--{key}={value}" for key, value in flags.items())]
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    if any(_has_non_finite_float(k, v) for k, v in [*entries.items(), *flags.items()]):
+        assert code == 1
 
 
 def test_custom_signal_flag_roundtrip(tmp_path):

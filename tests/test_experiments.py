@@ -39,6 +39,23 @@ def test_alpha_sweep_endpoints_and_validation():
         alpha_sweep(1e-3, 1.0, 1)
 
 
+@pytest.mark.parametrize("rule", [ScaleRule("power_law", 0.1, -1e300),
+                                  ScaleRule("h_multiple", 1e308), ScaleRule("absolute", np.inf)])
+def test_scale_rule_rejects_a_non_finite_value(rule):
+    # (2*pi/8)**-1e300 overflowed with an OverflowError traceback from the CLI
+    with pytest.raises(ValueError, match=rule.kind):
+        rule.resolve(8, 10.0)
+
+
+def test_alpha_sweep_caps_the_count_before_allocating():
+    from helmdeconv.experiments import MAX_SWEEP_POINTS
+
+    assert len(alpha_sweep(1e-3, 1.0, MAX_SWEEP_POINTS)) == MAX_SWEEP_POINTS
+    # 10**11 points would need 745 GiB; the cap must reject it before np.logspace runs
+    with pytest.raises(ValueError, match="sweep points"):
+        alpha_sweep(1e-3, 1.0, 10**11)
+
+
 def test_preset_config_unknown_name():
     with pytest.raises(ValueError):
         preset_config("mystery")
@@ -120,6 +137,13 @@ def test_convergence_rates_recover_synthetic_order():
             assert rate == pytest.approx(p, rel=1e-12)
 
 
+@pytest.mark.parametrize("errors", [[1.0, 0.0], [0.0, 0.0], [1.0, np.inf], [np.nan, 1.0]])
+def test_convergence_rates_need_positive_finite_errors(errors):
+    # a zero error (e.g. from a zero signal) used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="positive finite"):
+        convergence_rates(errors)
+
+
 def test_rates_refinements_must_double():
     config = preset_config("rates2d")
     config.refinements = (60, 100)
@@ -127,6 +151,15 @@ def test_rates_refinements_must_double():
         run_rates(config)
     config.refinements = (60,)
     with pytest.raises(ValueError):
+        run_rates(config)
+
+
+def test_rates_rejects_a_repeated_case():
+    # both repeats used to append to one error list, pairing n=8 errors with n=16
+    config = preset_config("rates2d")
+    config.refinements = (8, 16)
+    config.rate_cases = ((Method.MITLAR, 1), (Method.TL, 0), (Method.MITLAR, 1))
+    with pytest.raises(ValueError, match="repeat mitlar:1"):
         run_rates(config)
 
 

@@ -107,6 +107,14 @@ def test_filter_requires_positive_radius():
         HelmholtzFilter(grid, 0.0)
 
 
+@pytest.mark.parametrize("delta", [1e155, 1e200, np.inf])
+def test_filter_rejects_a_radius_with_non_finite_square(delta):
+    # delta**2 used to escape as an OverflowError, and inf gave theta = inf
+    grid = make_grid(1, (0.0, 1.0), 8)
+    with pytest.raises(ValueError, match="non-finite square"):
+        HelmholtzFilter(grid, delta)
+
+
 def test_solve_shifted_theta_zero_is_identity():
     grid = make_grid(2, (0.0, 1.0), 6)
     rhs = random_field(grid, 5)

@@ -62,6 +62,13 @@ def test_boundary_incompatible_term_rejected():
     gen_signal(SignalSpec(((1.0, (0.5,)),)), grid)
 
 
+def test_boundary_check_rejects_an_overflowing_frequency():
+    # 1e308*2 is inf, and round(inf) used to raise OverflowError
+    grid = make_grid(1, (0.0, 2.0), 8)
+    with pytest.raises(ValueError, match="does not vanish"):
+        gen_signal(SignalSpec(((1.0, (1e308,)),)), grid)
+
+
 def test_signal_dimension_mismatch_rejected():
     grid = make_grid(2, (0.0, 1.0), 8)
     with pytest.raises(ValueError):
@@ -114,6 +121,15 @@ def test_gen_noise_rejects_negative_level():
     grid = make_grid(1, (0.0, 1.0), 8)
     with pytest.raises(ValueError):
         gen_noise(0, -0.1, zero_field(grid))
+
+
+@pytest.mark.parametrize("level", [1e308, np.nan])
+def test_gen_noise_rejects_a_non_finite_noise_norm(level):
+    # the overflowed noise used to reach the solver and exit 2 from the CLI
+    grid = make_grid(1, (0.0, 2.0), 20)
+    reference = gen_signal(signal_preset("stopping1d"), grid)
+    with pytest.raises(ValueError, match="non-finite noise norm"):
+        gen_noise(0, level, reference)
 
 
 def test_relative_error_basic_cases():

@@ -75,7 +75,6 @@ class ExperimentConfig:
     """
 
     signal: SignalSpec
-    dim: int = 1
     bounds: tuple[tuple[float, float], ...] = ((0.0, 2.0),)
     n: int = 1000
     refinements: tuple[int, ...] = ()
@@ -112,7 +111,7 @@ def preset_config(name: str, out_dir=None) -> ExperimentConfig:
     if name == "compare1d":
         return ExperimentConfig(
             signal=signal_preset("compare1d"),
-            dim=1, bounds=((0.0, 2.0),), n=1000,
+            bounds=((0.0, 2.0),), n=1000,
             delta_rule=ScaleRule("absolute", 0.01),
             alphas=alpha_sweep(1e-3, 1.0, 25),
             j_list=(1, 2, 3),
@@ -121,7 +120,7 @@ def preset_config(name: str, out_dir=None) -> ExperimentConfig:
     if name == "rates2d":
         return ExperimentConfig(
             signal=signal_preset("rates2d"),
-            dim=2, bounds=((0.0, 2.0), (0.0, 2.0)),
+            bounds=((0.0, 2.0), (0.0, 2.0)),
             refinements=(60, 120, 240, 480),
             delta_rule=ScaleRule("power_law", 0.1, 0.25),
             alpha_rule=ScaleRule("power_law", 0.1, 0.5),
@@ -130,7 +129,7 @@ def preset_config(name: str, out_dir=None) -> ExperimentConfig:
     if name == "stopping1d":
         return ExperimentConfig(
             signal=signal_preset("stopping1d"),
-            dim=1, bounds=((0.0, 2.0),), n=1000,
+            bounds=((0.0, 2.0),), n=1000,
             delta_rule=ScaleRule("h_multiple", 6.0),
             alpha=0.1, noise_level=0.01, j_max=20,
             mode="record_only", mc_runs=1,
@@ -140,7 +139,7 @@ def preset_config(name: str, out_dir=None) -> ExperimentConfig:
 
 
 def _grid_for(config: ExperimentConfig, n: int) -> Grid:
-    return make_grid(config.dim, config.bounds, n)
+    return make_grid(len(config.bounds), config.bounds, n)
 
 
 def _fmt(x: float) -> str:
@@ -172,6 +171,11 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     """Noise-free relative errors of all methods over the alpha sweep."""
     if not config.alphas:
         raise ValueError("comparison needs a nonempty alpha sweep")
+    # a negative J would index the trace from its end, a repeated one duplicates rows
+    if not config.j_list or min(config.j_list) < 0 or len(set(config.j_list)) < len(config.j_list):
+        raise ValueError(
+            f"comparison needs distinct nonnegative update counts, got j_list={config.j_list}"
+        )
     grid = _grid_for(config, config.n)
     u = gen_signal(config.signal, grid)
     delta = config.delta_rule.resolve(config.n, grid.h[0])

@@ -19,9 +19,10 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 from pathlib import Path
 from typing import Callable
 
@@ -36,20 +37,23 @@ class Grid:
     count per axis; interior nodes sit at ``a + i*h`` for ``i = 1..n-1``.
     """
 
-    dim: int
     bounds: tuple[tuple[float, float], ...]
     n: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if len(self.bounds) != self.dim or len(self.n) != self.dim:
+        if len(self.n) not in (1, 2):
+            raise ValueError(f"a grid has 1 or 2 axes, got {len(self.n)}")
+        if len(self.bounds) != len(self.n):
             raise ValueError("bounds and n must have one entry per axis")
         for (a, b), n in zip(self.bounds, self.n):
             if n < 2:
                 raise ValueError(f"need at least 2 intervals per axis, got {n}")
             if not b > a:
                 raise ValueError(f"degenerate bounds ({a}, {b})")
+
+    @property
+    def dim(self) -> int:
+        return len(self.n)
 
     @property
     def h(self) -> tuple[float, ...]:
@@ -61,10 +65,7 @@ class Grid:
 
     @property
     def interior_count(self) -> int:
-        count = 1
-        for m in self.interior_shape:
-            count *= m
-        return count
+        return math.prod(self.interior_shape)
 
     def axis_nodes(self, axis: int) -> np.ndarray:
         """Interior node coordinates along one axis."""
@@ -78,8 +79,6 @@ def make_grid(dim: int, bounds, n) -> Grid:
     ``bounds`` is a single ``(a, b)`` pair (applied to every axis) or one
     pair per axis; ``n`` is an interval count or one count per axis.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
     bounds_seq = list(bounds)
     if len(bounds_seq) == 2 and np.isscalar(bounds_seq[0]):
         per_axis = [(float(bounds_seq[0]), float(bounds_seq[1]))] * dim
@@ -89,7 +88,10 @@ def make_grid(dim: int, bounds, n) -> Grid:
         ns = [int(n)] * dim
     else:
         ns = [int(m) for m in n]
-    return Grid(dim, tuple(per_axis), tuple(ns))
+    grid = Grid(tuple(per_axis), tuple(ns))
+    if grid.dim != dim:
+        raise ValueError(f"asked for {dim} axes, got bounds and n for {grid.dim}")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,38 +202,26 @@ def h1_seminorm(f: Field) -> float:
     Includes the two boundary segments per axis, so for trapezoid weights
     ``h1_seminorm(f)**2 == inner_product(neg_laplacian(f), f)`` exactly.
     """
-    grid = f.grid
-    if grid.dim == 1:
-        h = grid.h[0]
-        d = np.diff(f.values, prepend=0.0, append=0.0)
-        return float(np.sqrt(np.sum(d * d) / h))
-    hx, hy = grid.h
-    dx = np.diff(f.values, axis=0, prepend=0.0, append=0.0)
-    dy = np.diff(f.values, axis=1, prepend=0.0, append=0.0)
-    total = np.sum(dx * dx) * hy / hx + np.sum(dy * dy) * hx / hy
+    h = f.grid.h
+    total = 0.0
+    for axis, h_axis in enumerate(h):
+        d = np.diff(f.values, axis=axis, prepend=0.0, append=0.0)
+        total += np.sum(d * d) * math.prod(h[:axis] + h[axis + 1:]) / h_axis
     return float(np.sqrt(total))
 
 
 def write_field_csv(field: Field, path) -> None:
     """Write a field as CSV: (i, x, value) in 1D, (i, j, x, y, value) in 2D.
 
-    Indices are 1-based interior node indices; decimals use '.'.
+    Indices are 1-based interior node indices, rows run in row-major node
+    order and end in CRLF; decimals use '.'.
     """
     grid = field.grid
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if grid.dim == 1:
-            xs = grid.axis_nodes(0)
-            writer.writerow(["i", "x", "value"])
-            for i, (x, v) in enumerate(zip(xs, field.values), start=1):
-                writer.writerow([i, format(x, ".16e"), format(v, ".16e")])
-        else:
-            xs, ys = grid.axis_nodes(0), grid.axis_nodes(1)
-            writer.writerow(["i", "j", "x", "y", "value"])
-            for i, x in enumerate(xs, start=1):
-                for j, y in enumerate(ys, start=1):
-                    writer.writerow(
-                        [i, j, format(x, ".16e"), format(y, ".16e"),
-                         format(field.values[i - 1, j - 1], ".16e")]
-                    )
+    header = [*"ijk"[:grid.dim], *"xyz"[:grid.dim], "value"]
+    indices = [[str(i) for i in range(1, m + 1)] for m in grid.interior_shape]
+    coords = [[format(x, ".16e") for x in grid.axis_nodes(ax)] for ax in range(grid.dim)]
+    values = (format(v, ".16e") for v in field.values.ravel().tolist())
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join((*ij, *xy, v)) + "\r\n"
+                          for ij, xy, v in zip(product(*indices), product(*coords), values))

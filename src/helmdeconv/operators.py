@@ -43,13 +43,18 @@ class SolverError(RuntimeError):
 
 
 def _neg_lap_array(values: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    """Apply -lap_h to raw interior values with zero ghost nodes."""
-    if values.ndim == 1:
-        p = np.pad(values, 1)
-        return (2.0 * values - p[:-2] - p[2:]) / h[0] ** 2
+    """Apply -lap_h to raw interior values with zero ghost nodes, one axis at a time."""
     p = np.pad(values, 1)
-    out = (2.0 * values - p[:-2, 1:-1] - p[2:, 1:-1]) / h[0] ** 2
-    out += (2.0 * values - p[1:-1, :-2] - p[1:-1, 2:]) / h[1] ** 2
+
+    def second_difference(axis: int) -> np.ndarray:
+        lo = [slice(1, -1)] * values.ndim
+        hi = list(lo)
+        lo[axis], hi[axis] = slice(None, -2), slice(2, None)
+        return (2.0 * values - p[tuple(lo)] - p[tuple(hi)]) / h[axis] ** 2
+
+    out = second_difference(0)
+    for axis in range(1, values.ndim):
+        out += second_difference(axis)  # in place: no further full-size temporary
     return out
 
 
@@ -150,6 +155,11 @@ def _dense_lap_1d(m: int, h: float) -> np.ndarray:
     return lap / h**2
 
 
+def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker sum: ``a`` acting on the leading axes plus ``b`` on the last one."""
+    return np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b)
+
+
 DENSE_CAP = 4096
 
 
@@ -164,12 +174,7 @@ def dense_matrices(grid: Grid, delta: float):
             f"dense matrices capped at {DENSE_CAP} interior nodes, "
             f"grid has {grid.interior_count}"
         )
-    if grid.dim == 1:
-        lap = _dense_lap_1d(grid.interior_shape[0], grid.h[0])
-    else:
-        mx, my = grid.interior_shape
-        lap = np.kron(_dense_lap_1d(mx, grid.h[0]), np.eye(my))
-        lap += np.kron(np.eye(mx), _dense_lap_1d(my, grid.h[1]))
+    lap = reduce(_kron_sum, map(_dense_lap_1d, grid.interior_shape, grid.h))
     a_mat = np.eye(grid.interior_count) + delta**2 * lap
     g_mat = np.linalg.inv(a_mat)
     return lap, a_mat, g_mat

@@ -9,6 +9,7 @@ the discrete Dirichlet Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -70,16 +71,10 @@ def gen_signal(spec: SignalSpec, grid: Grid) -> Field:
     values = np.zeros(grid.interior_shape)
     coords = [grid.axis_nodes(ax) for ax in range(grid.dim)]
     for amplitude, freqs in spec.terms:
-        for ax, freq in enumerate(freqs):
-            a, b = grid.bounds[ax]
+        for freq, (a, b) in zip(freqs, grid.bounds):
             _check_boundary_compatible(freq, a, b)
-        if grid.dim == 1:
-            term = np.sin(freqs[0] * np.pi * coords[0])
-        else:
-            term = np.outer(
-                np.sin(freqs[0] * np.pi * coords[0]),
-                np.sin(freqs[1] * np.pi * coords[1]),
-            )
+        term = reduce(np.multiply.outer,
+                      [np.sin(freq * np.pi * x) for freq, x in zip(freqs, coords)])
         values += amplitude * term
     return Field(grid, values)
 

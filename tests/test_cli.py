@@ -175,6 +175,16 @@ def test_rates_rejects_a_repeated_case(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("j_list", ["1,1", "-1,2"])
+def test_compare_rejects_repeated_or_negative_j_list(tmp_path, capsys, j_list):
+    out = tmp_path / "o"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha_count = 3\nj_list = {j_list}\n")
+    assert cli_main(["compare", "--n", "20", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "distinct nonnegative update counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 UNREAD_FLAGS = [("compare", "--alpha"), ("compare", "--level"), ("rates", "--n"),
                 ("rates", "--alpha"), ("rates", "--level"), ("filter", "--alpha"),
                 ("filter", "--level"), ("filter", "--j")]

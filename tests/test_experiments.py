@@ -118,6 +118,16 @@ def test_comparison_requires_sweep():
         run_comparison(config)
 
 
+@pytest.mark.parametrize("j_list", [(1, 1), (-1, 2), (2, 0, 2), ()])
+def test_comparison_rejects_repeated_or_negative_update_counts(tmp_path, j_list):
+    # (1, 1) wrote every row twice; J=-1 read iterates[-1], the J=2 iterate
+    config = _small_compare_config(tmp_path / "out")
+    config.j_list = j_list
+    with pytest.raises(ValueError, match="distinct nonnegative update counts"):
+        run_comparison(config)
+    assert not (tmp_path / "out").exists()
+
+
 def test_comparison_csv_deterministic(tmp_path):
     outputs = []
     for tag in ("a", "b"):

@@ -1,10 +1,16 @@
 """Grid, field, and quadrature-norm behavior."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmdeconv import (
     Field,
+    dense_matrices,
     h1_seminorm,
     inner_product,
     l2_norm,
@@ -42,6 +48,8 @@ def test_make_grid_2d_square():
     (1, (1.0, 1.0), 4),
     (1, (2.0, 0.0), 4),
     (3, (0.0, 1.0), 4),
+    (1, ((0.0, 1.0), (0.0, 2.0)), (4, 5)),
+    (2, ((0.0, 1.0),), (4,)),
 ])
 def test_make_grid_rejects_bad_input(dim, bounds, n):
     with pytest.raises(ValueError):
@@ -143,14 +151,22 @@ def test_trapezoid_weights_are_uniform():
     assert w == pytest.approx(np.full((4, 3), 0.2 * 0.5))
 
 
-def test_h1_seminorm_matches_laplacian_pairing():
-    # with trapezoid weights: |f|_1^2 == (-lap f, f) exactly
-    rng = np.random.default_rng(3)
-    for dim, n in ((1, 17), (2, 9)):
-        grid = make_grid(dim, (0.0, 1.0), n)
-        f = Field(grid, rng.standard_normal(grid.interior_shape))
-        paired = inner_product(neg_laplacian(f), f)
-        assert h1_seminorm(f) ** 2 == pytest.approx(paired, rel=1e-12)
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.lists(st.integers(2, 24), min_size=1, max_size=2),
+    a=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    length=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+)
+def test_h1_seminorm_matches_laplacian_pairing(seed, n, a, length):
+    # with trapezoid weights: |f|_1^2 == (-lap f, f) exactly, on 1D and on
+    # 2D grids with unequal intervals and bounds per axis
+    grid = make_grid(len(n), [(lo, lo + span) for lo, span, _ in zip(a, length, n)], n)
+    f = Field(grid, np.random.default_rng(seed).standard_normal(grid.interior_shape))
+    lap_f = neg_laplacian(f)
+    dense = dense_matrices(grid, 0.1)[0] @ f.values.ravel()
+    assert np.linalg.norm(lap_f.values.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert h1_seminorm(f) ** 2 == pytest.approx(inner_product(lap_f, f), rel=1e-12)
 
 
 def test_h1_seminorm_eigenmode():
@@ -160,6 +176,32 @@ def test_h1_seminorm_eigenmode():
     f = sample_function(grid, lambda x: np.sin(k * np.pi * x))
     lam = 4.0 / h**2 * np.sin(k * np.pi * h / 2.0) ** 2
     assert h1_seminorm(f) == pytest.approx(np.sqrt(lam) * l2_norm(f), rel=1e-12)
+
+
+def reference_field_csv(field):
+    """The field CSV as a csv.writer loop over the nodes writes it."""
+    grid = field.grid
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    if grid.dim == 1:
+        writer.writerow(["i", "x", "value"])
+        for i, (x, v) in enumerate(zip(grid.axis_nodes(0), field.values), start=1):
+            writer.writerow([i, format(x, ".16e"), format(v, ".16e")])
+    else:
+        writer.writerow(["i", "j", "x", "y", "value"])
+        for i, x in enumerate(grid.axis_nodes(0), start=1):
+            for j, y in enumerate(grid.axis_nodes(1), start=1):
+                writer.writerow([i, j, format(x, ".16e"), format(y, ".16e"),
+                                 format(field.values[i - 1, j - 1], ".16e")])
+    return buffer.getvalue().encode("utf-8")
+
+
+def assert_field_csv_bytes(path, field):
+    data = path.read_bytes()
+    assert data == reference_field_csv(field)
+    rows = field.grid.interior_count + 1
+    assert data.count(b"\r\n") == data.count(b"\n") == rows
+    assert b"-0.0000000000000000e+00" in data
 
 
 def test_write_field_csv_1d(tmp_path):
@@ -174,6 +216,8 @@ def test_write_field_csv_1d(tmp_path):
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(0.5)
     assert float(first[2]) == pytest.approx(1.0)
+    write_field_csv(Field(grid, [0.25, -0.0, -1e-300]), path)
+    assert_field_csv_bytes(path, Field(grid, [0.25, -0.0, -1e-300]))
 
 
 def test_write_field_csv_2d(tmp_path):
@@ -187,3 +231,10 @@ def test_write_field_csv_2d(tmp_path):
     row = lines[2].split(",")  # i=1, j=2
     assert row[:2] == ["1", "2"]
     assert float(row[4]) == pytest.approx(1.0 / 3.0 + 10 * 2.0 / 3.0)
+    # anisotropic: unequal intervals and bounds per axis, rows in (i, j) order
+    grid = make_grid(2, ((0.0, 2.0), (-1.0, 0.5)), (5, 3))
+    values = np.random.default_rng(5).standard_normal(grid.interior_shape)
+    values[1, 0] = -0.0
+    write_field_csv(Field(grid, values), path)
+    assert_field_csv_bytes(path, Field(grid, values))
+    assert path.read_bytes().split(b"\r\n")[1].startswith(b"1,1,4.0000000000000002e-01,")

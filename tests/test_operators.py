@@ -192,6 +192,22 @@ def test_eigenvalues_are_cached_and_read_only():
         lam[0] = 0.0
 
 
+def thomas_longdouble(theta, h, rhs):
+    """Solve (I + theta*(-lap_h)) x = rhs in 1D by Thomas elimination in long double."""
+    off = -np.longdouble(theta) / np.longdouble(h) ** 2
+    diag = 1 - 2 * off
+    b = rhs.astype(np.longdouble)
+    c = np.empty_like(b)
+    x = np.empty_like(b)
+    c[0], x[0] = off / diag, b[0] / diag
+    for i in range(1, len(b)):
+        pivot = diag - off * c[i - 1]
+        c[i], x[i] = off / pivot, (b[i] - off * x[i - 1]) / pivot
+    for i in range(len(b) - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return x
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -201,14 +217,14 @@ def test_eigenvalues_are_cached_and_read_only():
     length=st.floats(1.0, 3.0),
 )
 @example(seed=0, theta=10.0, n=2, a=0.0, length=1.0)
+@example(seed=0, theta=3.0, n=1024, a=0.0, length=3.0)
 def test_solve_shifted_1d_matches_dense(seed, theta, n, a, length):
-    # n=2 is a single interior node.  The dense LU solve, not the DST solve,
-    # sets the tolerance: at theta=10, h=1/1025 its own error reaches ~6e-13,
-    # and the inverse at DENSE_CAP nodes would cost seconds per example.
+    # n=2 is a single interior node.  The reference is a long-double solve:
+    # a float64 dense LU is itself 1.6e-12 off at theta=3, n=1024 (the
+    # second example), while the DST solve is within 3e-16 there.
     grid = make_grid(1, (a, a + length), n)
     rhs = random_field(grid, seed)
-    lap, _, _ = dense_matrices(grid, 0.1)
-    expected = np.linalg.solve(np.eye(grid.interior_count) + theta * lap, rhs.values)
+    expected = thomas_longdouble(theta, grid.h[0], rhs.values).astype(float)
     out = solve_shifted(grid, theta, rhs)
     assert np.linalg.norm(out.values - expected) <= 1e-12 * np.linalg.norm(expected)
 
